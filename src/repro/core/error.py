@@ -416,12 +416,13 @@ def _structured_trace_or_none(
     * Kronecker against Kronecker with matching factor shapes reduces to a
       product of per-factor dense traces (``(⊗H)^+ = ⊗H^+``).
     """
-    if _memo is not None and id(workload_source) in _memo:
-        return _memo[id(workload_source)]
-    result = _structured_trace_uncached(workload_source, strategy_source, _memo)
-    if _memo is not None:
-        _memo[id(workload_source)] = result
-    return result
+    if _memo is None:
+        return _structured_trace_uncached(workload_source, strategy_source, _memo)
+    # repro-lint: allow[id-key] reason=per-call memo: the top-level trace call creates it and drops it on return, and every keyed source is reachable from that call's workload until then, so no id is reused while the memo lives
+    key = id(workload_source)
+    if key not in _memo:
+        _memo[key] = _structured_trace_uncached(workload_source, strategy_source, _memo)
+    return _memo[key]
 
 
 def _structured_trace_uncached(

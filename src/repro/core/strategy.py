@@ -17,10 +17,12 @@ is free.
 
 from __future__ import annotations
 
+import threading
 from typing import Sequence
 
 import numpy as np
 
+from repro.core.prepared import PreparedStrategy
 from repro.exceptions import MaterializationError, StrategyError
 from repro.utils.linalg import kron_all, symmetrize
 from repro.utils.operators import (
@@ -36,6 +38,10 @@ from repro.utils.operators import (
 from repro.utils.validation import check_matrix
 
 __all__ = ["Strategy"]
+
+#: Serialises :attr:`Strategy.prepared` builds so concurrent first answers
+#: through one cached plan build its prepared state once.
+_PREPARE_LOCK = threading.Lock()
 
 
 class Strategy(StructuredGramMixin):
@@ -87,6 +93,15 @@ class Strategy(StructuredGramMixin):
         self._spectrum: np.ndarray | None = None
         self._sensitivity_l2: float | None = None
         self._rank: int | None = None
+        # Process-local answering state (repro.core.prepared), built lazily.
+        self._prepared = None
+
+    def __getstate__(self) -> dict:
+        """Pickle without the prepared state: it is rebuilt on first use, so
+        persisted plans and worker payloads do not carry its matrices."""
+        state = self.__dict__.copy()
+        state["_prepared"] = None
+        return state
 
     # ----------------------------------------------------------- constructors
     @classmethod
@@ -181,6 +196,23 @@ class Strategy(StructuredGramMixin):
                 "requires an explicit strategy matrix"
             )
         return self._matrix
+
+    @property
+    def prepared(self):
+        """The strategy's :class:`~repro.core.prepared.PreparedStrategy`.
+
+        Built on first access (the matrix mechanisms' first answer) and
+        shared by every later one: validation, sensitivities, the
+        least-squares solver and the support memo are computed once per
+        strategy per process.  Requires the explicit matrix.
+        """
+        prepared = getattr(self, "_prepared", None)
+        if prepared is None:
+            with _PREPARE_LOCK:
+                prepared = getattr(self, "_prepared", None)
+                if prepared is None:
+                    prepared = self._prepared = PreparedStrategy(self)
+        return prepared
 
     @property
     def gram(self) -> np.ndarray:

@@ -198,7 +198,7 @@ class Workload(StructuredGramMixin):
         returned as-is (or as a renamed shallow view sharing every cached
         representation), never re-wrapped.  Re-wrapping used to turn a lazy
         Kronecker workload into an anonymous operator-backed one, changing
-        its :func:`~repro.engine.planner.workload_fingerprint` — so a batch
+        its :func:`~repro.core.fingerprint.workload_fingerprint` — so a batch
         of one request missed the plan cache for a shape that was already
         warm.
         """

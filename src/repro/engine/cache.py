@@ -4,7 +4,7 @@ Repeated workload *shapes* dominate real query traffic — the same dashboard
 marginals, the same range scans over fresh data.  The expensive part of
 answering them is strategy optimization, not the mechanism run, so the engine
 memoises whole :class:`~repro.engine.planner.Plan` objects keyed by workload
-*content* (see :func:`~repro.engine.planner.workload_fingerprint` — the same
+*content* (see :func:`~repro.core.fingerprint.workload_fingerprint` — the same
 keying discipline as the factor-``eigh`` memo in :mod:`repro.utils.operators`).
 
 A warm hit skips strategy optimization entirely, and it composes with the

@@ -78,8 +78,9 @@ def _execute_in_worker(key, plan, workload, data, params, random_state):
 
     When ``key`` is known, the memoised ``(plan, workload)`` pair is
     preferred over a freshly unpickled one — same content (the key is a
-    content digest), but the memoised mechanism keeps its factorisation
-    caches warm across requests, exactly like the parent's thread path.
+    content digest), but the memoised plan's strategy keeps its prepared
+    state (sensitivities, least-squares solver, support memo) warm across
+    requests, exactly like the parent's thread path.
     """
     if key is not None:
         cached = _PLAN_MEMO.get(key)

@@ -117,15 +117,15 @@ class StrategyMechanism:
     The privacy regime picks the noise distribution: ``delta > 0`` runs the
     (epsilon, delta) Gaussian instantiation (Prop. 3), ``delta == 0`` the pure
     epsilon Laplace one (Sec. 3.5).  Underlying mechanism objects are cached
-    per privacy setting so repeated runs (Monte-Carlo loops, session batches)
-    keep their factorisation caches warm.
+    per privacy setting; all of them answer through the strategy's one
+    prepared state (:attr:`~repro.core.strategy.Strategy.prepared`), so the
+    least-squares factorisation is built once however many settings run.
     """
 
     releases_estimate = True
 
-    #: Bound on memoised per-privacy-setting mechanism instances.  Each one
-    #: holds least-squares factorisation caches over the ``n`` cells, and
-    #: mechanisms live inside plans held by the long-lived plan cache, so an
+    #: Bound on memoised per-privacy-setting mechanism instances.
+    #: Mechanisms live inside plans held by the long-lived plan cache, so an
     #: unbounded memo would grow with every distinct ``(epsilon, delta)`` a
     #: session ever uses.  LRU keeps the common case (few settings, reused
     #: across Monte-Carlo trials and batches) warm.
@@ -146,9 +146,9 @@ class StrategyMechanism:
 
         Plans cross the process boundary of the execution tier
         (:mod:`repro.engine.executor`), and neither a ``threading.Lock`` nor
-        the memoised mechanism instances (whose factorisation caches are
-        per-process warm state) belong in the payload — the receiving worker
-        rebuilds both lazily and keeps its own memo warm under its own lock.
+        the memoised mechanism instances (per-process warm state) belong in
+        the payload — the receiving worker rebuilds both lazily and keeps its
+        own memo warm under its own lock.
         """
         state = self.__dict__.copy()
         state.pop("_instances_lock", None)

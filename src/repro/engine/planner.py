@@ -32,6 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.core.eigen_design import eigen_design
+from repro.core.fingerprint import workload_fingerprint
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
@@ -91,59 +92,6 @@ def analyze_workload(workload: Workload) -> WorkloadProfile:
             workload.column_count, workload.column_count
         ),
     )
-
-
-def _digest_array(h, array: np.ndarray) -> None:
-    array = np.ascontiguousarray(np.asarray(array, dtype=float))
-    h.update(str(array.shape).encode())
-    h.update(array.tobytes())
-
-
-def workload_fingerprint(workload: Workload) -> str | None:
-    """A content-addressed digest of the workload, or ``None`` if uncacheable.
-
-    Keyed like the factor-``eigh`` memo: Kronecker workloads hash their factor
-    Grams (tiny), explicit workloads their matrix bytes, Gram-backed workloads
-    the Gram bytes — so structurally identical workloads built by different
-    callers collide on purpose, and the plan cache can serve them all from
-    one strategy optimization.
-
-    The digest is memoised on the workload object (workloads are immutable —
-    every transformation returns a new one), because the serving layer now
-    fingerprints on two hot paths per request: the plan-cache key and the
-    in-flight coalescing key.  Hashing a dense matrix's bytes is linear in
-    its size; doing it once per workload object instead of once per request
-    is what keeps the coalescing probe O(1) for repeated asks.
-    """
-    cached = getattr(workload, "_cached_fingerprint", False)
-    if cached is not False:
-        return cached
-    fingerprint = _workload_fingerprint_uncached(workload)
-    workload._cached_fingerprint = fingerprint
-    return fingerprint
-
-
-def _workload_fingerprint_uncached(workload: Workload) -> str | None:
-    h = hashlib.sha1()
-    h.update(f"m={workload.query_count};n={workload.column_count};".encode())
-    factors = workload._kron_factors
-    if factors is not None:
-        h.update(b"kron:")
-        for factor in factors:
-            h.update(f"q={factor.query_count}:".encode())
-            _digest_array(h, factor.gram)
-        return h.hexdigest()
-    if workload.has_matrix:
-        h.update(b"matrix:")
-        _digest_array(h, workload.matrix)
-        return h.hexdigest()
-    try:
-        gram = workload.gram
-    except MaterializationError:
-        return None
-    h.update(b"gram:")
-    _digest_array(h, gram)
-    return h.hexdigest()
 
 
 def _noise_factor(params: PrivacyParams, regime: str) -> float:

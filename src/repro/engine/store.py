@@ -13,7 +13,9 @@ tenant's budget survives **crashes**:
   :class:`~repro.engine.cache.PlanCache` on boot so warm shapes skip
   strategy optimization across restarts;
 * **releases** — each tenant's released ``(strategy, estimate)`` pairs, so
-  free-reuse spans survive a restart;
+  free-reuse spans survive a restart; a release row references its
+  strategy by content digest in the **strategies** table, which holds each
+  strategy once however many releases use it;
 * **the budget ledger** — one row per charge with **write-ahead
   semantics**: a ``PENDING`` row is committed *before* the noise draw,
   promoted to ``SPENT`` on success and ``VOIDED`` on refund.  Recovery
@@ -55,7 +57,9 @@ import threading
 import time
 from datetime import datetime, timezone
 
+from repro.core.fingerprint import strategy_fingerprint
 from repro.core.privacy import PrivacyParams
+from repro.core.strategy import Strategy
 from repro.engine import faults
 from repro.exceptions import StoreError, StoreUnavailableError
 
@@ -84,6 +88,11 @@ CREATE TABLE IF NOT EXISTS releases (
     created  TEXT NOT NULL
 );
 CREATE INDEX IF NOT EXISTS releases_tenant ON releases(tenant);
+CREATE TABLE IF NOT EXISTS strategies (
+    key      TEXT PRIMARY KEY,
+    payload  BLOB NOT NULL,
+    created  TEXT NOT NULL
+);
 CREATE TABLE IF NOT EXISTS ledger (
     id       INTEGER PRIMARY KEY AUTOINCREMENT,
     tenant   TEXT NOT NULL,
@@ -400,35 +409,69 @@ class StateStore:
     def save_release(
         self, tenant: str, label: str, params: PrivacyParams, strategy, estimate
     ) -> bool:
-        """Persist one released ``(strategy, estimate)``; best-effort."""
+        """Persist one released ``(strategy, estimate)``; best-effort.
+
+        The strategy is written once to the content-addressed ``strategies``
+        table (``INSERT OR IGNORE`` under its memoised
+        :func:`~repro.core.fingerprint.strategy_fingerprint`, in the same
+        transaction as the release row), and the release row carries only
+        the strategy key and the estimate — so repeated releases of one cached
+        plan write the estimate, not the strategy.  A strategy without a
+        content digest is stored inline with its estimate, as before.
+        """
         try:
-            payload = pickle.dumps(
-                (strategy, estimate), protocol=pickle.HIGHEST_PROTOCOL
+            key = strategy_fingerprint(strategy) if isinstance(strategy, Strategy) else None
+            stored = None
+            if key is not None and not self._has_strategy(key):
+                stored = pickle.dumps(strategy, protocol=pickle.HIGHEST_PROTOCOL)
+            record = (
+                (strategy, estimate)
+                if key is None
+                else {"strategy_key": key, "estimate": estimate}
             )
-            self._execute(
-                "INSERT INTO releases (tenant, label, epsilon, delta, payload, created)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    tenant,
-                    label,
-                    params.epsilon,
-                    params.delta,
-                    sqlite3.Binary(payload),
-                    _now(),
-                ),
-            )
+            payload = pickle.dumps(record, protocol=pickle.HIGHEST_PROTOCOL)
+            with self._lock:
+                self._execute("BEGIN IMMEDIATE")
+                try:
+                    if stored is not None:
+                        self._execute(
+                            "INSERT OR IGNORE INTO strategies (key, payload, created)"
+                            " VALUES (?, ?, ?)",
+                            (key, sqlite3.Binary(stored), _now()),
+                        )
+                    self._execute(
+                        "INSERT INTO releases (tenant, label, epsilon, delta, payload, created)"
+                        " VALUES (?, ?, ?, ?, ?, ?)",
+                        (
+                            tenant,
+                            label,
+                            params.epsilon,
+                            params.delta,
+                            sqlite3.Binary(payload),
+                            _now(),
+                        ),
+                    )
+                    self._execute("COMMIT")
+                except BaseException:
+                    self._rollback()
+                    raise
             return True
         except (pickle.PicklingError, TypeError, AttributeError, StoreError):
             with self._lock:
                 self.persist_failures += 1
             return False
 
+    def _has_strategy(self, key: str) -> bool:
+        row = self._execute("SELECT 1 FROM strategies WHERE key = ?", (key,)).fetchone()
+        return row is not None
+
     def load_releases(self, tenant: str) -> list[dict]:
         """The tenant's persisted releases, oldest first (never raises).
 
         Each entry carries ``strategy``, ``estimate``, ``params`` and
         ``label`` — exactly what a rebooted session needs to rebuild its
-        free-reuse pool.
+        free-reuse pool.  Releases referencing one stored strategy share one
+        loaded object; rows that inline their strategy load as they are.
         """
         try:
             rows = self._execute(
@@ -440,10 +483,18 @@ class StateStore:
             with self._lock:
                 self.load_failures += 1
             return []
+        strategies: dict = {}
         releases = []
         for label, epsilon, delta, payload in rows:
             try:
-                strategy, estimate = pickle.loads(payload)
+                record = pickle.loads(payload)
+                if isinstance(record, dict):
+                    key, estimate = record["strategy_key"], record["estimate"]
+                    if key not in strategies:
+                        strategies[key] = self._load_strategy(key)
+                    strategy = strategies[key]
+                else:
+                    strategy, estimate = record
             except Exception:
                 with self._lock:
                     self.load_failures += 1
@@ -458,6 +509,12 @@ class StateStore:
             )
         return releases
 
+    def _load_strategy(self, key: str):
+        row = self._execute("SELECT payload FROM strategies WHERE key = ?", (key,)).fetchone()
+        if row is None:
+            raise StoreError(f"release references missing strategy {key}")
+        return pickle.loads(row[0])
+
     def release_count(self, tenant: str | None = None) -> int:
         if tenant is None:
             return int(self._execute("SELECT COUNT(*) FROM releases").fetchone()[0])
@@ -466,6 +523,9 @@ class StateStore:
                 "SELECT COUNT(*) FROM releases WHERE tenant = ?", (tenant,)
             ).fetchone()[0]
         )
+
+    def strategy_count(self) -> int:
+        return int(self._execute("SELECT COUNT(*) FROM strategies").fetchone()[0])
 
     # -------------------------------------------------------------- arrivals
     def add_arrivals(self, tenant: str, epoch: int, counts) -> bool:
@@ -595,6 +655,7 @@ class StateStore:
             try:
                 out["plans"] = self.plan_count()
                 out["releases"] = self.release_count()
+                out["strategies"] = self.strategy_count()
                 out["ledger_rows"] = int(
                     self._execute("SELECT COUNT(*) FROM ledger").fetchone()[0]
                 )

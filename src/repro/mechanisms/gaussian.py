@@ -40,14 +40,21 @@ class GaussianMechanism:
         data: np.ndarray,
         *,
         random_state=None,
+        scale: float | None = None,
     ) -> np.ndarray:
         """Return (epsilon, delta)-differentially-private answers to ``queries``.
 
         ``queries`` may be a :class:`Workload` (explicit) or a raw matrix.
+        A caller that already holds a validated matrix and its noise scale
+        (a prepared strategy) passes ``scale`` to skip re-validating the
+        matrix and recomputing its sensitivity; the draw is the same.
         """
-        matrix = queries.matrix if isinstance(queries, Workload) else check_matrix(queries, "queries")
+        if scale is None:
+            matrix = queries.matrix if isinstance(queries, Workload) else check_matrix(queries, "queries")
+            scale = self.noise_scale(queries)
+        else:
+            matrix = queries
         data = check_vector(data, "data", matrix.shape[1])
         rng = as_generator(random_state)
-        scale = self.noise_scale(queries)
         noise = rng.normal(0.0, scale, size=matrix.shape[0])
         return matrix @ data + noise

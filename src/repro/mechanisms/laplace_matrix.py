@@ -25,8 +25,8 @@ import numpy as np
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
-from repro.exceptions import PrivacyError, SingularStrategyError
-from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
+from repro.exceptions import PrivacyError
+from repro.mechanisms.inference import nonnegative_least_squares_estimate
 from repro.core.error import workload_strategy_trace
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_vector
@@ -82,28 +82,26 @@ class LaplaceMatrixMechanism:
     @property
     def noise_scale(self) -> float:
         """Laplace scale parameter applied to every strategy-query answer."""
-        return self.strategy.sensitivity_l1 / self.epsilon
+        return self.strategy.prepared.sensitivity_l1 / self.epsilon
 
     def run(self, workload: Workload, data: np.ndarray, *, random_state=None) -> LaplaceMechanismResult:
-        """Run the mechanism once and return answers plus the synthetic estimate."""
-        matrix = self.strategy.matrix
-        data = check_vector(data, "data", matrix.shape[1])
-        if workload.column_count != matrix.shape[1]:
-            raise SingularStrategyError(
-                f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
-            )
-        if not self.strategy.supports(workload.gram):
-            raise SingularStrategyError(
-                "the strategy cannot answer this workload: its row space does not "
-                "contain the workload's row space"
-            )
+        """Run the mechanism once and return answers plus the synthetic estimate.
+
+        Shares the strategy's prepared state with the Gaussian instantiation
+        (:class:`~repro.core.prepared.PreparedStrategy`): the L1 sensitivity,
+        the least-squares solver and the support verdicts are computed once.
+        """
+        prepared = self.strategy.prepared
+        data = check_vector(data, "data", prepared.cells)
+        prepared.require_support(workload)
         rng = as_generator(random_state)
-        scale = self.noise_scale
+        scale = prepared.sensitivity_l1 / self.epsilon
+        matrix = prepared.matrix
         noisy = matrix @ data + rng.laplace(0.0, scale, size=matrix.shape[0])
         if self.nonnegative:
             estimate = nonnegative_least_squares_estimate(matrix, noisy)
         else:
-            estimate = least_squares_estimate(matrix, noisy)
+            estimate = prepared.solve(noisy)
         return LaplaceMechanismResult(
             answers=workload.answer(estimate),
             estimate=estimate,

@@ -23,9 +23,8 @@ from repro.core.error import expected_workload_error, per_query_error
 from repro.core.privacy import PrivacyParams
 from repro.core.strategy import Strategy
 from repro.core.workload import Workload
-from repro.exceptions import SingularStrategyError
 from repro.mechanisms.gaussian import GaussianMechanism
-from repro.mechanisms.inference import least_squares_estimate, nonnegative_least_squares_estimate
+from repro.mechanisms.inference import nonnegative_least_squares_estimate
 from repro.utils.rng import as_generator
 from repro.utils.validation import check_vector
 
@@ -68,32 +67,6 @@ class MatrixMechanism:
         self.privacy = privacy
         self.nonnegative = nonnegative
         self._gaussian = GaussianMechanism(privacy)
-        # Cached Cholesky factor of A^T A for repeated runs (None until first
-        # use; False when the strategy is rank-deficient and lstsq is needed).
-        self._normal_factor = None
-        # Workloads whose support by the strategy has already been verified.
-        self._supported_workloads: set[int] = set()
-
-    def _solve_least_squares(self, noisy: np.ndarray) -> np.ndarray:
-        """Least-squares inference with a cached normal-equation factorisation.
-
-        Repeated mechanism runs (Monte-Carlo relative-error experiments, or
-        periodic releases with the same strategy) reuse the factorisation so
-        only two matrix-vector products are needed per run.
-        """
-        import scipy.linalg
-
-        matrix = self.strategy.matrix
-        if self._normal_factor is None:
-            try:
-                self._normal_factor = scipy.linalg.cho_factor(
-                    self.strategy.gram, check_finite=False
-                )
-            except scipy.linalg.LinAlgError:
-                self._normal_factor = False
-        if self._normal_factor is False:
-            return least_squares_estimate(matrix, noisy)
-        return scipy.linalg.cho_solve(self._normal_factor, matrix.T @ noisy, check_finite=False)
 
     def run(
         self,
@@ -102,26 +75,23 @@ class MatrixMechanism:
         *,
         random_state=None,
     ) -> MechanismResult:
-        """Run the mechanism once and return answers plus the synthetic estimate."""
-        matrix = self.strategy.matrix
-        data = check_vector(data, "data", matrix.shape[1])
-        if workload.column_count != matrix.shape[1]:
-            raise SingularStrategyError(
-                f"workload has {workload.column_count} cells but the strategy has {matrix.shape[1]}"
-            )
-        if id(workload) not in self._supported_workloads:
-            if not self.strategy.supports(workload.gram):
-                raise SingularStrategyError(
-                    "the strategy cannot answer this workload: its row space does not "
-                    "contain the workload's row space"
-                )
-            self._supported_workloads.add(id(workload))
+        """Run the mechanism once and return answers plus the synthetic estimate.
+
+        Validation, the sensitivity, the least-squares factorisation and the
+        support verdicts come from the strategy's prepared state, computed
+        on its first answer, so a repeated run costs the noise draw, two
+        matrix-vector products and the derivation.
+        """
+        prepared = self.strategy.prepared
+        data = check_vector(data, "data", prepared.cells)
+        prepared.require_support(workload)
         rng = as_generator(random_state)
-        noisy = self._gaussian.answer(matrix, data, random_state=rng)
+        sigma = self.privacy.gaussian_scale(prepared.sensitivity_l2)
+        noisy = self._gaussian.answer(prepared.matrix, data, random_state=rng, scale=sigma)
         if self.nonnegative:
-            estimate = nonnegative_least_squares_estimate(matrix, noisy)
+            estimate = nonnegative_least_squares_estimate(prepared.matrix, noisy)
         else:
-            estimate = self._solve_least_squares(noisy)
+            estimate = prepared.solve(noisy)
         # answer() serves explicit matrices and factored row operators alike,
         # so large Kronecker workloads can be answered without materialising
         # their (possibly enormous) query matrix.
@@ -130,7 +100,7 @@ class MatrixMechanism:
             answers=answers,
             estimate=estimate,
             strategy_answers=noisy,
-            noise_scale=self._gaussian.noise_scale(matrix),
+            noise_scale=sigma,
         )
 
     def answer(self, workload: Workload, data: np.ndarray, *, random_state=None) -> np.ndarray:

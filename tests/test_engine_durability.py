@@ -18,6 +18,7 @@ What the durable state tier (``docs/architecture.md`` §8) must hold:
 """
 
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -27,6 +28,8 @@ import numpy as np
 import pytest
 
 from repro.core.privacy import PrivacyParams
+from repro.core.strategy import Strategy
+from repro.core.workload import Workload
 from repro.engine import PlanCache, Planner, Server, Session, StateStore
 from repro.engine import faults
 from repro.engine.store import PENDING, SPENT, VOIDED
@@ -129,6 +132,56 @@ class TestStateStore:
         assert store.load_releases("t") == []
         assert store.persist_failures == 3
         assert store.load_failures == 2
+
+    def test_old_format_release_rows_still_load(self, store_path):
+        """Rows that inline the pickled ``(strategy, estimate)`` pair load as before."""
+        strategy = Strategy.identity(3)
+        with StateStore(store_path) as store:
+            store._conn.execute(
+                "INSERT INTO releases (tenant, label, epsilon, delta, payload, created)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                ("t", "old", 0.2, 1e-5, pickle.dumps((strategy, np.arange(3.0))), "then"),
+            )
+            assert store.save_release("t", "new", PrivacyParams(0.3, 1e-5), strategy, np.ones(3))
+            old, new = store.load_releases("t")
+        assert (old["label"], old["params"]) == ("old", PrivacyParams(0.2, 1e-5))
+        np.testing.assert_array_equal(old["strategy"].matrix, np.eye(3))
+        np.testing.assert_array_equal(old["estimate"], np.arange(3.0))
+        np.testing.assert_array_equal(new["strategy"].matrix, np.eye(3))
+        np.testing.assert_array_equal(new["estimate"], np.ones(3))
+
+    def test_releases_of_one_strategy_store_it_once(self, store_path):
+        strategy = Strategy(np.tril(np.ones((8, 8))), name="prefix")
+        with StateStore(store_path) as store:
+            for index in range(5):
+                assert store.save_release(
+                    "t", f"q{index}", PrivacyParams(0.1, 1e-6), strategy, np.full(8, float(index))
+                )
+            assert (store.strategy_count(), store.release_count("t")) == (1, 5)
+            assert store.stats()["strategies"] == 1
+            loaded = store.load_releases("t")
+        assert [entry["label"] for entry in loaded] == [f"q{index}" for index in range(5)]
+        assert all(entry["strategy"] is loaded[0]["strategy"] for entry in loaded)
+        np.testing.assert_array_equal(loaded[0]["strategy"].matrix, strategy.matrix)
+        np.testing.assert_array_equal(loaded[4]["estimate"], np.full(8, 4.0))
+
+    def test_unpicklable_strategy_is_counted_and_never_fails_the_answer(self, store_path):
+        store = StateStore(store_path)
+        planner = Planner()
+        workload = np.eye(CELLS)[:4]
+        plan = planner.plan(Workload(workload), PRIVACY)
+        plan.mechanism.strategy.hook = lambda: None  # locals don't pickle
+        session = Session(
+            PRIVACY, data=np.full(CELLS, 2.0), store=store, tenant="alice",
+            planner=planner, random_state=7,
+        )
+        answer = session.ask(workload, epsilon=0.5)
+        assert answer.spent is not None and answer.plan is plan
+        assert store.persist_failures == 1
+        # Neither the release nor its strategy is written: no dangling key.
+        assert (store.release_count(), store.strategy_count()) == (0, 0)
+        assert store.ledger_counts("alice") == {SPENT: 1}
+        store.close()
 
     def test_corrupt_rows_are_skipped(self, store_path):
         with StateStore(store_path) as store:

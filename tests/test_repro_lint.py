@@ -43,6 +43,7 @@ class TestFramework:
         assert RULE_IDS == (
             "backend-seam",
             "budget-flow",
+            "id-key",
             "lock-discipline",
             "no-densify",
             "worker-purity",
@@ -465,6 +466,57 @@ class TestBackendSeam:
             },
         )
         assert hits(findings, "backend-seam") == []
+
+
+# ---------------------------------------------------------------------- IdKey
+ID_KEY_BAD = """\
+_SEEN = {}
+
+class MatrixMechanism:
+    def __init__(self):
+        self._supported = set()
+
+    def run(self, workload):
+        if id(workload) not in self._supported:
+            self._supported.add(id(workload))
+
+def remember(workload, memo):
+    key = id(workload)
+    memo[key] = workload
+    _SEEN[(id(workload), 1)] = True
+"""
+
+ID_KEY_GOOD = """\
+_SEEN = {}
+
+def walk(nodes, fingerprint):
+    seen = {}
+    for node in nodes:
+        seen[id(node)] = node
+        key = id(node)
+        if key in seen:
+            _SEEN[fingerprint(node)] = True
+    return sorted(seen, key=id)
+
+def per_call(source, _memo):
+    # repro-lint: allow[id-key] reason=per-call memo created by the top-level caller
+    key = id(source)
+    if key not in _memo:
+        _memo[key] = source
+    return _memo[key]
+"""
+
+
+class TestIdKey:
+    def test_id_keys_on_long_lived_containers_are_flagged(self, tmp_path):
+        findings = lint_tree(tmp_path, {"src/repro/x.py": ID_KEY_BAD}, rules=["id-key"])
+        # The attribute set (twice), the parameter memo through a local
+        # name (reported at the id call) and the module-level dict's tuple key.
+        assert [finding.line for finding in hits(findings, "id-key")] == [8, 9, 12, 14]
+
+    def test_per_call_locals_and_reasoned_pragmas_are_clean(self, tmp_path):
+        findings = lint_tree(tmp_path, {"src/repro/x.py": ID_KEY_GOOD}, rules=["id-key"])
+        assert findings == []
 
 
 # ------------------------------------------------------- manifest <-> source

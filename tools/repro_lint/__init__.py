@@ -1,6 +1,6 @@
 """repro-lint: AST enforcement of the engine's documented invariants.
 
-Five checkers, each the mechanical form of one architecture-doc rule:
+Six checkers, each the mechanical form of one architecture-doc rule:
 
 ========================  ====================================================
 ``lock-discipline``       manifest-registered shared state is written under
@@ -14,6 +14,8 @@ Five checkers, each the mechanical form of one architecture-doc rule:
 ``backend-seam``          backend-threaded functions keep heavy numpy on the
                           ``is_default`` branch and ``to_numpy`` their
                           boundaries (PR 9)
+``id-key``                ``id(...)`` never keys a container that outlives
+                          the call (§6)
 ========================  ====================================================
 
 See ``docs/linting.md`` for the rule catalog and pragma syntax.
@@ -33,17 +35,19 @@ from .base import (
     run_checkers,
 )
 from .budget_flow import BudgetFlowChecker
+from .id_key import IdKeyChecker
 from .lock_discipline import LockDisciplineChecker
 from .manifest import LOCK_MANIFEST, LockRule, checkable_rules, render_lock_table
 from .no_densify import NoDensifyChecker
 from .worker_purity import WorkerPurityChecker
 
-__version__ = "1.0.0"
+__version__ = "1.1.0"
 
 #: The default checker battery, in rule-id order.
 ALL_CHECKERS: tuple[Checker, ...] = (
     BackendSeamChecker(),
     BudgetFlowChecker(),
+    IdKeyChecker(),
     LockDisciplineChecker(),
     NoDensifyChecker(),
     WorkerPurityChecker(),

@@ -72,6 +72,27 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         doc_granularity="per cached plan",
     ),
     LockRule(
+        doc_state=(
+            "`Strategy` prepared state (validated matrix, sensitivities, "
+            "least-squares solver)"
+        ),
+        doc_guard="module build lock `_PREPARE_LOCK`: built once, read-only after",
+        doc_granularity="per strategy, shared by every session running its cached plan",
+        module="repro.core.strategy",
+        owner="Strategy",
+        attributes=("_prepared",),
+        lock="_PREPARE_LOCK",
+    ),
+    LockRule(
+        doc_state="`PreparedStrategy` support memo (verdicts by workload fingerprint)",
+        doc_guard="per-prepared-state lock; the row-space check itself runs outside it",
+        doc_granularity="per strategy, shared by every session running its cached plan",
+        module="repro.core.prepared",
+        owner="PreparedStrategy",
+        attributes=("_supported",),
+        lock="self._lock",
+    ),
+    LockRule(
         doc_state="factor-`eigh` memo (`repro.utils.operators`)",
         doc_guard="module lock around lookup/insert/evict; the `eigh` itself runs outside it",
         doc_granularity="process",
