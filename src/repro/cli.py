@@ -32,10 +32,11 @@ from stdin (or ``--requests FILE``) through a multi-tenant
 budget (``--budget-epsilon`` / ``--budget-delta``), requests are answered
 from a thread pool, and repeated workload shapes across tenants share one
 plan cache.  ``--execution process`` moves paid answering and cold strategy
-optimization to a worker-process pool (past the GIL); ``--async`` serves
-through the asyncio admission front-end, which bounds the number of
-requests in flight (``--queue-depth``) and rejects the rest with a
-``retry_after`` hint instead of buffering without bound.  ``--forecast``
+optimization to a worker-process pool (past the GIL).  Input already in
+memory (``--requests FILE``, or stdin redirected from a file) is admitted
+whole; a live stream (a pipe or a terminal) is answered as lines arrive,
+with at most ``--queue-depth`` requests in flight and the rest rejected
+with a ``retry_after`` hint instead of buffered without bound.  ``--forecast``
 turns on workload forecasting and adaptive pre-planning (epoch length via
 ``--forecast-epoch``, forecast width via ``--forecast-top-k``): predicted-hot
 shapes are pre-warmed in the plan cache before they arrive, without changing
@@ -54,6 +55,8 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import os
+import stat
 import sys
 from typing import Sequence
 
@@ -203,8 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--queue-depth",
         type=int,
         default=None,
-        help="admission bound for --async: requests beyond this many in flight "
-        "are rejected with a retry_after hint (default: 16 x workers)",
+        help="admission bound: requests beyond this many in flight are rejected "
+        "with a retry_after hint (default: 16 x workers on a live stream; "
+        "input already in memory is admitted whole)",
     )
     serve.add_argument(
         "--execution",
@@ -217,8 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--async",
         dest="use_async",
         action="store_true",
-        help="serve through the asyncio admission front-end (bounded queue, "
-        "backpressure, streaming stdin)",
+        help=argparse.SUPPRESS,  # accepted for old callers; does nothing
     )
     serve.add_argument(
         "--state",
@@ -519,6 +522,14 @@ def _command_lint(arguments, out) -> int:
     return 0
 
 
+def _stdin_is_regular_file() -> bool:
+    """Whether stdin is redirected from a file (``serve < requests.jsonl``)."""
+    try:
+        return stat.S_ISREG(os.fstat(sys.stdin.fileno()).st_mode)
+    except (OSError, ValueError):  # no real descriptor (e.g. a StringIO)
+        return False
+
+
 def _command_serve(arguments, out) -> int:
     # Imported lazily so `list`/`run` keep their fast startup.
     import signal
@@ -544,6 +555,8 @@ def _command_serve(arguments, out) -> int:
             raise ReproError(
                 f"cannot read requests file {arguments.requests!r}: {error}"
             ) from error
+    elif _stdin_is_regular_file():
+        lines = [line for line in sys.stdin if line.strip()]
     else:
         # Stream stdin lazily so long-lived sessions answer as requests
         # arrive; EOF (ctrl-D) is the normal shutdown path.
@@ -580,10 +593,7 @@ def _command_serve(arguments, out) -> int:
     except ValueError:  # not the main thread (e.g. embedded callers)
         previous_handler = None
     try:
-        if arguments.use_async:
-            server.serve_async(lines, out=out, stop=stop)
-        else:
-            server.serve(lines, out=out, stop=stop)
+        server.serve(lines, out=out, queue_depth=arguments.queue_depth, stop=stop)
     finally:
         if previous_handler is not None:
             try:

@@ -29,8 +29,6 @@ excludes estimate-free mechanisms by default.
 from __future__ import annotations
 
 import math
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Protocol, runtime_checkable
 
@@ -116,68 +114,24 @@ class StrategyMechanism:
 
     The privacy regime picks the noise distribution: ``delta > 0`` runs the
     (epsilon, delta) Gaussian instantiation (Prop. 3), ``delta == 0`` the pure
-    epsilon Laplace one (Sec. 3.5).  Underlying mechanism objects are cached
-    per privacy setting; all of them answer through the strategy's one
-    prepared state (:attr:`~repro.core.strategy.Strategy.prepared`), so the
-    least-squares factorisation is built once however many settings run.
+    epsilon Laplace one (Sec. 3.5).  Every run answers through the strategy's
+    one prepared state (:attr:`~repro.core.strategy.Strategy.prepared`), so
+    the least-squares factorisation is built once however many settings run.
     """
 
     releases_estimate = True
-
-    #: Bound on memoised per-privacy-setting mechanism instances.
-    #: Mechanisms live inside plans held by the long-lived plan cache, so an
-    #: unbounded memo would grow with every distinct ``(epsilon, delta)`` a
-    #: session ever uses.  LRU keeps the common case (few settings, reused
-    #: across Monte-Carlo trials and batches) warm.
-    MAX_INSTANCES = 8
 
     def __init__(self, strategy: Strategy, *, nonnegative: bool = False):
         self.strategy = strategy
         self.nonnegative = nonnegative
         self.name = f"matrix-mechanism[{strategy.name or 'strategy'}]"
-        self._instances: "OrderedDict[PrivacyParams, object]" = OrderedDict()
-        # StrategyMechanisms live inside plans held by the *shared* plan
-        # cache, so concurrent sessions executing the same warm plan mutate
-        # this memo together — the LRU bookkeeping must be serialized.
-        self._instances_lock = threading.Lock()
-
-    def __getstate__(self) -> dict:
-        """Pickle without the lock or the per-process instance memo.
-
-        Plans cross the process boundary of the execution tier
-        (:mod:`repro.engine.executor`), and neither a ``threading.Lock`` nor
-        the memoised mechanism instances (per-process warm state) belong in
-        the payload — the receiving worker rebuilds both lazily and keeps its
-        own memo warm under its own lock.
-        """
-        state = self.__dict__.copy()
-        state.pop("_instances_lock", None)
-        state["_instances"] = OrderedDict()
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._instances = OrderedDict()
-        self._instances_lock = threading.Lock()
 
     def _instance(self, params: PrivacyParams):
-        with self._instances_lock:
-            mechanism = self._instances.get(params)
-            if mechanism is None:
-                if params.is_approximate:
-                    mechanism = MatrixMechanism(
-                        self.strategy, params, nonnegative=self.nonnegative
-                    )
-                else:
-                    mechanism = LaplaceMatrixMechanism(
-                        self.strategy, params, nonnegative=self.nonnegative
-                    )
-                self._instances[params] = mechanism
-                while len(self._instances) > self.MAX_INSTANCES:
-                    self._instances.popitem(last=False)
-            else:
-                self._instances.move_to_end(params)
-            return mechanism
+        # Built per call: construction is a few attribute stores, and every
+        # instance answers through the strategy's shared prepared state.
+        if params.is_approximate:
+            return MatrixMechanism(self.strategy, params, nonnegative=self.nonnegative)
+        return LaplaceMatrixMechanism(self.strategy, params, nonnegative=self.nonnegative)
 
     def supports(self, workload: Workload, params: PrivacyParams) -> bool:
         if workload.column_count != self.strategy.column_count:

@@ -42,11 +42,12 @@ Three pieces sit above the thread pools (``docs/architecture.md`` §7):
   receive the same answer, and the tenant's budget is charged exactly once
   per burst (the planner's per-fingerprint build gates, extended from
   planning to answering);
-* **async admission** (:meth:`Server.serve_async`) — an asyncio front-end
-  with a bounded admission queue: requests beyond ``queue_depth`` are
-  rejected immediately with a ``retry_after`` hint instead of buffered
-  without bound, and a ``stop`` event drains in-flight work and rejects the
-  rest (clean shutdown).
+* **admission** (:meth:`Server.serve`) — the line protocol's asyncio
+  front-end: input already in memory is admitted whole, a live stream is
+  bounded by ``queue_depth`` (requests beyond it are rejected immediately
+  with a ``retry_after`` hint instead of buffered without bound), and a
+  ``stop`` event drains in-flight work and rejects the rest (clean
+  shutdown).
 """
 
 from __future__ import annotations
@@ -86,9 +87,9 @@ __all__ = ["Server"]
 #: calling thread: the per-shard dispatch overhead would exceed the matmul.
 DEFAULT_SHARD_MIN_ROWS = 4096
 
-#: Default admission bound for :meth:`Server.serve_async`: how many requests
-#: may be admitted-but-unfinished before new ones are rejected with a
-#: ``retry_after`` hint.  Scaled with ``workers`` at construction.
+#: Default admission bound for a live stream in :meth:`Server.serve`: how
+#: many requests may be admitted-but-unfinished before new ones are rejected
+#: with a ``retry_after`` hint.  Scaled with ``workers`` at construction.
 DEFAULT_QUEUE_DEPTH_PER_WORKER = 16
 
 
@@ -182,9 +183,10 @@ class Server:
         Answers are bit-for-bit identical either way (the request RNG's
         state crosses the pickle boundary); only the parallelism differs.
     queue_depth:
-        Admission bound for :meth:`serve_async` (defaults to ``16 x
-        workers``): requests beyond it are rejected with ``retry_after``
-        instead of buffered without bound.
+        Admission bound of :meth:`serve` on a live stream (defaults to
+        ``16 x workers``): requests beyond it are rejected with
+        ``retry_after`` instead of buffered without bound.  Input already in
+        memory is admitted whole.
     store:
         The durable state tier (``docs/architecture.md`` §8): a
         :class:`~repro.engine.store.StateStore`, or a path (the server opens
@@ -753,88 +755,6 @@ class Server:
                 pass
         return "default"
 
-    def serve(self, lines, out=None, *, stop: threading.Event | None = None):
-        """Run the line protocol over ``lines``, pipelined through the pool.
-
-        Distinct tenants are answered concurrently; each tenant's own
-        requests run **in submission order** (at most one in flight), so a
-        tenant's later query sees its earlier releases — the stream behaves
-        like the session it is.  Replies are emitted in input order (each as
-        one JSON line when ``out`` is given) as soon as their prefix is
-        complete.  Returns the list of reply dicts.
-
-        Ordering is enforced by chaining — the next request of a tenant is
-        submitted from the completion callback of the previous one — rather
-        than by blocking a pool worker on a predecessor, which could
-        deadlock a small pool.
-
-        ``stop`` (a :class:`threading.Event`) makes shutdown clean: once
-        set, requests not yet launched are answered with a ``rejected``
-        reply instead of executing, while everything already in flight
-        drains and replies normally — the SIGINT path of ``python -m repro
-        serve``.
-        """
-        lines = [line for line in lines if line.strip()]
-        total = len(lines)
-        replies: list = [None] * total
-        queues: dict[str, list[int]] = {}
-        for index, line in enumerate(lines):
-            queues.setdefault(self._peek_tenant(line), []).append(index)
-        finished = threading.Event()
-        state = {"remaining": total, "emitted": 0}
-        state_lock = threading.Lock()
-
-        def flush_ready() -> None:
-            while state["emitted"] < total and replies[state["emitted"]] is not None:
-                if out is not None:
-                    print(json.dumps(replies[state["emitted"]]), file=out, flush=True)
-                state["emitted"] += 1
-
-        def launch(tenant: str) -> None:
-            queue = queues[tenant]
-            if not queue:
-                return
-            if stop is not None and stop.is_set():
-                # Drain: reject everything this tenant has not yet started.
-                with state_lock:
-                    while queue:
-                        index = queue.pop(0)
-                        replies[index] = {
-                            "tenant": tenant,
-                            "error": "server shutting down; request not admitted",
-                            "rejected": True,
-                        }
-                        state["remaining"] -= 1
-                    flush_ready()
-                    if state["remaining"] == 0:
-                        finished.set()
-                return
-            index = queue.pop(0)
-            future = self._pool.submit(self.handle_request, lines[index])
-
-            def finish(done) -> None:
-                try:
-                    reply = done.result()
-                except Exception as error:  # pragma: no cover - handle_request guards
-                    reply = {"tenant": tenant, "error": repr(error)}
-                with state_lock:
-                    replies[index] = reply
-                    state["remaining"] -= 1
-                    flush_ready()
-                    if state["remaining"] == 0:
-                        finished.set()
-                launch(tenant)
-
-            future.add_done_callback(finish)
-
-        for tenant in list(queues):
-            launch(tenant)
-        if total == 0:
-            finished.set()
-        finished.wait()
-        return replies
-
-    # ---------------------------------------------------------- async front-end
     def _retry_after(self, in_flight: int) -> float:
         """A retry hint for a rejected request: roughly how long the current
         backlog needs to drain one slot (mean execute latency x queue depth
@@ -844,7 +764,7 @@ class Server:
             mean = 0.1
         return round(max(0.05, mean * max(in_flight, 1) / self.workers), 4)
 
-    def serve_async(
+    def serve(
         self,
         lines,
         out=None,
@@ -852,30 +772,46 @@ class Server:
         queue_depth: int | None = None,
         stop: threading.Event | None = None,
     ) -> list:
-        """Run the line protocol behind an asyncio admission front-end.
+        """Run the line protocol over ``lines``; returns the reply dicts.
 
-        Same request/reply semantics as :meth:`serve` (per-tenant order,
-        replies in input order), plus **admission control**: at most
-        ``queue_depth`` requests may be admitted-but-unfinished at once.  A
-        request arriving beyond that is rejected *immediately* with
-        ``{"rejected": true, "retry_after": seconds}`` — bounded queues and
-        backpressure, never unbounded buffering.  ``lines`` may be any
-        iterable, including a live stream (e.g. ``sys.stdin``): a
-        non-materialized source is pulled on a thread so the event loop
-        keeps draining completions while waiting for input.
+        Distinct tenants are answered concurrently; each tenant's own
+        requests run **in submission order** (at most one in flight), so a
+        tenant's later query sees its earlier releases — the stream behaves
+        like the session it is.  Replies are emitted in input order (each as
+        one JSON line when ``out`` is given) as soon as their prefix is
+        complete.
 
-        The event loop bridges to the same request pool (and through it the
-        process execution tier, if configured) via ``run_in_executor`` —
-        the front-end admits and orders; it never computes.
+        An asyncio front-end admits and orders; the request pool (and
+        through it the process execution tier, if configured) computes, via
+        ``run_in_executor``.  **Admission control**: at most ``queue_depth``
+        requests are admitted-but-unfinished at once, and one arriving
+        beyond that is rejected *immediately* with ``{"rejected": true,
+        "retry_after": seconds}`` — backpressure, never unbounded
+        buffering.  Without an explicit ``queue_depth`` the bound follows
+        the input: input already in memory (a list or tuple) is admitted
+        whole, since rejecting it frees nothing, and a live stream (any
+        other iterable, e.g. ``sys.stdin``) is bounded by
+        :attr:`queue_depth`.  A live stream is pulled on a thread, so
+        replies flow while the next line is awaited.
 
-        Setting ``stop`` mid-stream stops admission (subsequent lines get
-        ``rejected`` replies) while admitted work drains normally.
+        ``stop`` (a :class:`threading.Event`) makes shutdown clean: once
+        set, later lines get ``rejected`` replies while admitted work drains
+        normally — the SIGINT path of ``python -m repro serve``.
         """
-        return asyncio.run(self._serve_async(lines, out, queue_depth, stop))
+        return asyncio.run(self._serve(lines, out, queue_depth, stop))
 
-    async def _serve_async(self, lines, out, queue_depth, stop) -> list:
+    #: Former name of :meth:`serve`, kept for existing callers.
+    serve_async = serve
+
+    async def _serve(self, lines, out, queue_depth, stop) -> list:
         loop = asyncio.get_running_loop()
-        depth = self.queue_depth if queue_depth is None else max(0, int(queue_depth))
+        materialized = isinstance(lines, (list, tuple))
+        if queue_depth is not None:
+            depth = max(0, int(queue_depth))
+        elif materialized:
+            depth = len(lines)
+        else:
+            depth = self.queue_depth
         replies: list = []
         state = {"emitted": 0, "in_flight": 0}
         tails: dict[str, asyncio.Task] = {}
@@ -905,7 +841,6 @@ class Server:
             state["in_flight"] -= 1
             flush_ready()
 
-        materialized = isinstance(lines, (list, tuple))
         iterator = iter(lines)
         sentinel = object()
         while True:

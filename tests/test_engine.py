@@ -364,14 +364,6 @@ class TestSession:
             np.ones((1, 8)) @ session.history[0].estimate,
         )
 
-    def test_mechanism_instance_memo_is_bounded(self):
-        mechanism = StrategyMechanism(Strategy.identity(4))
-        x = np.zeros(4)
-        workload = Workload.identity(4)
-        for i in range(2 * StrategyMechanism.MAX_INSTANCES):
-            mechanism.run(workload, x, PrivacyParams(0.1 + 0.01 * i, 1e-4), random_state=0)
-        assert len(mechanism._instances) <= StrategyMechanism.MAX_INSTANCES
-
     def test_history_records_every_answer(self, schema, data):
         session = Session(PrivacyParams(1.0, 1e-4), schema=schema, data=data, random_state=0)
         session.ask("SELECT COUNT(*) FROM s GROUP BY gender", epsilon=0.3)

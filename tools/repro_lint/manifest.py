@@ -67,11 +67,6 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         doc_granularity="per workload shape",
     ),
     LockRule(
-        doc_state="`StrategyMechanism` per-privacy instance memo",
-        doc_guard="per-mechanism lock",
-        doc_granularity="per cached plan",
-    ),
-    LockRule(
         doc_state=(
             "`Strategy` prepared state (validated matrix, sensitivities, "
             "least-squares solver)"
