@@ -18,7 +18,6 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import threading
-from collections import OrderedDict
 
 import numpy as np
 
@@ -28,6 +27,7 @@ from repro.core.workload import Workload
 from repro.exceptions import MaterializationError, SingularStrategyError
 from repro.utils.backend import get_backend
 from repro.utils.linalg import DeflationSpace, hutchpp_trace, pcg_solve, psd_solver, trace_ratio
+from repro.utils.memo import BoundedMemo
 from repro.utils.operators import (
     MATERIALIZATION_LIMIT,
     SPECTRUM_CUTOFF,
@@ -100,16 +100,11 @@ STOCHASTIC_TRACE_LAST: dict = {}
 #: Bounded with least-recently-used eviction so a sweep over many strategies
 #: cannot pin unbounded basis memory; each entry holds at most
 #: ``n * (2 * deflation_rank + samples // 3)`` floats (deflation basis, its
-#: operator image, and the cached Hutch++ sketch basis).
-_TRACE_RECYCLERS: "OrderedDict[tuple, _TraceRecycler]" = OrderedDict()
+#: operator image, and the cached Hutch++ sketch basis).  Krylov state inside
+#: one recycler is serialized by its own ``_TraceRecycler.lock``, so distinct
+#: pairs still recycle in parallel.
 _TRACE_RECYCLER_LIMIT = 4
-#: Guards the registry's structure (lookup, insert, LRU move, eviction,
-#: clear).  The registry is process-global shared state; without the lock two
-#: server sessions evaluating traces concurrently can corrupt the OrderedDict
-#: mid-eviction.  The lock covers only the *registry* — mutating Krylov state
-#: inside one recycler is serialized separately per recycler (see
-#: ``_TraceRecycler.lock``), so distinct pairs still recycle in parallel.
-_TRACE_RECYCLER_REGISTRY_LOCK = threading.Lock()
+_TRACE_RECYCLERS = BoundedMemo(_TRACE_RECYCLER_LIMIT)
 
 
 class _TraceRecycler:
@@ -138,8 +133,7 @@ def clear_trace_recyclers() -> None:
     Call this after a sweep over huge domains to hand the memory back, or
     set ``STOCHASTIC_TRACE["recycle"] = False`` to opt out entirely.
     """
-    with _TRACE_RECYCLER_REGISTRY_LOCK:
-        _TRACE_RECYCLERS.clear()
+    _TRACE_RECYCLERS.clear()
 
 
 def _content_digest(array: np.ndarray) -> str:
@@ -178,16 +172,9 @@ def _trace_recycler(
     parts.append(backend.name)
     parts.append(backend.dtype_name)
     key = tuple(parts)
-    with _TRACE_RECYCLER_REGISTRY_LOCK:
-        recycler = _TRACE_RECYCLERS.get(key)
-        if recycler is None:
-            recycler = _TraceRecycler(int(STOCHASTIC_TRACE["deflation_rank"]))
-            _TRACE_RECYCLERS[key] = recycler
-            while len(_TRACE_RECYCLERS) > _TRACE_RECYCLER_LIMIT:
-                _TRACE_RECYCLERS.popitem(last=False)
-        else:
-            _TRACE_RECYCLERS.move_to_end(key)
-    return recycler
+    return _TRACE_RECYCLERS.get(key) or _TRACE_RECYCLERS.setdefault(
+        key, _TraceRecycler(int(STOCHASTIC_TRACE["deflation_rank"]))
+    )
 
 
 def _eigen_diag_trace(workload_op: KroneckerOperator, strategy_op: EigenDiagOperator) -> float:

@@ -16,14 +16,12 @@ rebooted server rebuilds it on first use.
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
-
 import numpy as np
 import scipy.linalg
 
 from repro.core.fingerprint import workload_fingerprint
 from repro.exceptions import SingularStrategyError, StrategyError
+from repro.utils.memo import BoundedMemo
 from repro.utils.validation import check_matrix
 
 __all__ = ["PreparedStrategy"]
@@ -69,8 +67,7 @@ class PreparedStrategy:
             keep = s > cutoff
             self.rank = int(keep.sum())
             self._pinv = (vt[keep].T / s[keep]) @ u[:, keep].T
-        self._lock = threading.Lock()
-        self._supported: "OrderedDict[str, bool]" = OrderedDict()
+        self._supported = BoundedMemo(self.SUPPORT_MEMO_ENTRIES)
 
     @property
     def cells(self) -> int:
@@ -90,17 +87,11 @@ class PreparedStrategy:
         if self._factor is not None:
             return
         key = workload_fingerprint(workload)
-        with self._lock:
-            supported = None if key is None else self._supported.get(key)
-            if supported is not None:
-                self._supported.move_to_end(key)
+        supported = None if key is None else self._supported.get(key)
         if supported is None:
             supported = self._strategy.supports(workload.gram)
             if key is not None:
-                with self._lock:
-                    self._supported[key] = supported
-                    while len(self._supported) > self.SUPPORT_MEMO_ENTRIES:
-                        self._supported.popitem(last=False)
+                self._supported.setdefault(key, supported)
         if not supported:
             raise SingularStrategyError(
                 "the strategy cannot answer this workload: its row space does not "

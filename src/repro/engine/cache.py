@@ -13,133 +13,53 @@ caches, and repeated error evaluations of it reuse their Krylov state
 (``docs/performance.md``), so a warm re-answer does near-zero optimization
 *and* near-zero PCG work.
 
-Entries are evicted least-recently-used against an entry bound; the cache is
-deliberately tiny state (plans hold strategies, which can be large) and all
-bookkeeping — hits, misses, evictions — is exposed for tests and benchmarks.
-
-The cache is shared by every session of a :class:`~repro.engine.server.Server`,
-so all structural mutation — ``get`` (it reorders the LRU list), ``put``,
-eviction, ``clear`` — happens under one mutex.  Counter *reads* (``stats``,
-``hits``...) are deliberately lock-free: they read int attributes that are
-only ever replaced atomically, so monitoring never contends with serving.
+The cache is a :class:`~repro.utils.memo.BoundedMemo` (LRU, one mutex shared
+by every session of a server, lock-free counter reads) plus two writers:
+:meth:`PlanCache.put` (insert or refresh) and the boot-time :meth:`PlanCache.warm`.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from repro.utils.memo import BoundedMemo
 
 __all__ = ["PlanCache"]
 
 
-class PlanCache:
+class PlanCache(BoundedMemo):
     """LRU-bounded, content-addressed, thread-safe plan store.
 
-    Examples
-    --------
     >>> cache = PlanCache(max_entries=2)
-    >>> cache.put("a", "plan-a"); cache.put("b", "plan-b")
-    >>> cache.get("a")
-    'plan-a'
-    >>> cache.put("c", "plan-c")  # evicts "b" (least recently used)
-    >>> cache.get("b") is None
-    True
-    >>> cache.stats["hits"], cache.stats["misses"], cache.stats["evictions"]
-    (1, 1, 1)
+    >>> cache.put("a", "plan-a"); cache.put("a", "plan-a2")  # put refreshes
+    >>> cache.get("a"), cache.stats
+    ('plan-a2', {'entries': 1, 'hits': 1, 'misses': 0, 'evictions': 0, 'warmed': 0})
     """
 
     def __init__(self, max_entries: int = 64):
-        if max_entries < 1:
-            raise ValueError(f"max_entries must be >= 1, got {max_entries}")
-        self.max_entries = int(max_entries)
-        self._entries: OrderedDict[str, object] = OrderedDict()
-        self._lock = threading.Lock()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
+        super().__init__(max_entries)
         self.warmed = 0
 
     def warm(self, entries) -> int:
-        """Bulk-load ``(key, plan)`` pairs — the boot-time path from a
-        :class:`~repro.engine.store.StateStore`.
+        """Bulk-load ``(key, plan)`` pairs from a
+        :class:`~repro.engine.store.StateStore` at boot; returns how many loaded.
 
-        Unlike :meth:`put`, warming counts separately (``warmed``) so hit /
-        miss accounting still describes live traffic only, and a key that is
-        already present is left alone (the live entry is at least as fresh).
-        Overflow beyond ``max_entries`` evicts LRU as usual.  Returns the
-        number of entries actually loaded.
+        Warming counts separately (``warmed``), so hits and misses describe
+        live traffic only, and a present key is left alone (the live entry is
+        at least as fresh).  Overflow evicts LRU as usual.
         """
         loaded = 0
-        with self._lock:
-            for key, plan in entries:
-                if key in self._entries:
-                    continue
-                self._entries[key] = plan
-                self._entries.move_to_end(key)
+        for key, plan in entries:
+            if key not in self:
+                self.setdefault(key, plan)
                 loaded += 1
-                while len(self._entries) > self.max_entries:
-                    self._entries.popitem(last=False)
-                    self.evictions += 1
+        with self._lock:
             self.warmed += loaded
         return loaded
 
-    def get(self, key: str):
-        """The cached plan for ``key``, or ``None`` (recorded as a miss)."""
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self.misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self.hits += 1
-            return entry
-
-    def peek(self, key: str):
-        """Like :meth:`get` but without touching stats or the LRU order.
-
-        Used by the planner's double-checked build gate (and by callers that
-        only want to know whether a shape is already warm): every logical
-        *lookup* stays a single counted ``get``, so ``hits + misses`` equals
-        the number of lookups even when a build races.
-        """
-        with self._lock:
-            return self._entries.get(key)
-
     def put(self, key: str, plan) -> None:
         """Insert (or refresh) ``plan`` under ``key``, evicting LRU overflow."""
-        with self._lock:
-            self._entries[key] = plan
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.max_entries:
-                self._entries.popitem(last=False)
-                self.evictions += 1
-
-    def __contains__(self, key: str) -> bool:
-        with self._lock:
-            return key in self._entries
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def clear(self) -> None:
-        """Drop every entry (counters are kept; they describe the lifetime)."""
-        with self._lock:
-            self._entries.clear()
+        self._admit(key, plan, replace=True)
 
     @property
     def stats(self) -> dict:
-        """Lifetime counters: ``entries``, ``hits``, ``misses``, ``evictions``, ``warmed``.
-
-        Read lock-free (each counter is a single atomic attribute read), so
-        monitoring a busy server never blocks the serving path; the snapshot
-        may straddle an in-flight lookup but each individual counter is
-        exact.
-        """
-        return {
-            "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "warmed": self.warmed,
-        }
+        """Lifetime counters: ``entries``, ``hits``, ``misses``, ``evictions``, ``warmed``."""
+        return {**super().stats, "warmed": self.warmed}

@@ -45,11 +45,12 @@ import os
 import pickle
 import threading
 import time
-from collections import OrderedDict
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 
 import multiprocessing
+
+from repro.utils.memo import BoundedMemo
 
 __all__ = ["ProcessExecutor"]
 
@@ -58,19 +59,12 @@ __all__ = ["ProcessExecutor"]
 #: shapes; LRU keeps them and drops the tail.
 WORKER_PLAN_MEMO_ENTRIES = 16
 
-#: Worker-process memo (single-threaded per worker: no lock needed).
-_PLAN_MEMO: "OrderedDict[str, tuple]" = OrderedDict()
+#: Worker-process memo of ``key -> (plan, workload)``.
+_PLAN_MEMO = BoundedMemo(WORKER_PLAN_MEMO_ENTRIES)
 
 
 class _NeedPayload:
     """Worker-side sentinel: "I have no plan under this key — resend it"."""
-
-
-def _memo_put(key: str, plan, workload) -> None:
-    _PLAN_MEMO[key] = (plan, workload)
-    _PLAN_MEMO.move_to_end(key)
-    while len(_PLAN_MEMO) > WORKER_PLAN_MEMO_ENTRIES:
-        _PLAN_MEMO.popitem(last=False)
 
 
 def _execute_in_worker(key, plan, workload, data, params, random_state):
@@ -84,13 +78,9 @@ def _execute_in_worker(key, plan, workload, data, params, random_state):
     """
     if key is not None:
         cached = _PLAN_MEMO.get(key)
-        if cached is not None:
-            _PLAN_MEMO.move_to_end(key)
-            plan, workload = cached
-        elif plan is None or workload is None:
+        if cached is None and (plan is None or workload is None):
             return _NeedPayload()
-        else:
-            _memo_put(key, plan, workload)
+        plan, workload = cached or _PLAN_MEMO.setdefault(key, (plan, workload))
     return plan.execute(workload, data, params, random_state=random_state)
 
 
@@ -107,7 +97,7 @@ def _optimize_in_worker(workload, params, key, config):
     planner = Planner(cache=None, **config)
     plan = planner._build_plan(workload, params, key)
     if key is not None:
-        _memo_put(key, plan, workload)
+        _PLAN_MEMO.setdefault(key, (plan, workload))
     return plan
 
 

@@ -44,7 +44,7 @@ pins down:
 Ownership (``docs/architecture.md`` §7/§10): the forecaster lives in the
 **parent** serving process only.  Its pre-warm work runs on a dedicated
 background thread (never a request worker), and the plans it builds flow
-through the shared planner — build gates, counters, and plan-store
+through the shared planner — its single-flight, counters, and plan-store
 persistence included — so a racing reactive request never duplicates an
 optimization the pre-planner already started.
 """
@@ -267,7 +267,7 @@ class PrePlanner:
     """Turn a forecast mix into plan-cache warmth — compute, never budget.
 
     Two moves per forecast, both through the shared
-    :class:`~repro.engine.planner.Planner` (build gates, counters and
+    :class:`~repro.engine.planner.Planner` (single-flight, counters and
     plan-store persistence included):
 
     * **pre-warm**: every predicted-hot shape that is not already cached is

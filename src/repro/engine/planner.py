@@ -45,6 +45,7 @@ from repro.exceptions import (
     ReproError,
     SingularStrategyError,
 )
+from repro.utils.memo import SingleFlight
 from repro.utils.operators import within_materialization_budget
 
 __all__ = [
@@ -186,10 +187,10 @@ class Planner:
 
     The planner is safe to share across threads (it is the shared optimizer
     of a :class:`~repro.engine.server.Server`): counters are incremented
-    under a lock, and cold builds are serialized **per fingerprint** — when
-    several threads miss on the same key simultaneously, exactly one runs
-    strategy optimization and the others wait on its build gate and reuse
-    the finished plan.  Distinct fingerprints build fully in parallel.
+    under a lock, and cold builds are single-flighted **per fingerprint** —
+    when several threads miss on the same key simultaneously, exactly one
+    runs strategy optimization and the others share its plan (or its build
+    error).  Distinct fingerprints build fully in parallel.
 
     Attributes
     ----------
@@ -232,9 +233,8 @@ class Planner:
         self.plans_built = 0
         self.requests = 0
         self._lock = threading.Lock()
-        #: Per-fingerprint build gates: one strategy optimization per key,
-        #: however many threads miss on it at once.
-        self._building: dict[str, threading.Lock] = {}
+        #: One strategy optimization per key, however many threads miss on it.
+        self._builds = SingleFlight()
 
     def config(self) -> dict:
         """Constructor kwargs that reproduce this planner's build behaviour
@@ -307,8 +307,9 @@ class Planner:
 
         Every call performs exactly one counted cache lookup (``hits +
         misses`` equals the number of ``plan`` calls with a cacheable
-        workload); concurrent misses on the same fingerprint serialize on a
-        per-key build gate so the same shape is never optimized twice.
+        workload); concurrent misses on the same fingerprint share one
+        :class:`~repro.utils.memo.SingleFlight` build (and its outcome), so
+        the same shape is never optimized twice.
 
         ``key`` lets a caller that already computed :meth:`plan_key` (the
         session does, for its cache-hit probe) pass it in — the
@@ -321,29 +322,22 @@ class Planner:
             key = self.plan_key(workload, params)
         if self.cache is None or key is None:
             return self._build_plan(workload, params, key)
-        hit = self.cache.get(key)
-        if hit is not None:
-            return hit
-        with self._lock:
-            gate = self._building.setdefault(key, threading.Lock())
-        try:
-            with gate:
-                # Double-checked via peek (uncounted): a thread that lost
-                # the race finds the winner's plan here instead of
-                # rebuilding it.
-                plan = self.cache.peek(key)
-                if plan is None:
-                    plan = self._build_plan(workload, params, key)
-                    self.cache.put(key, plan)
-                    if self.plan_store is not None:
-                        # Persist the freshly optimized plan (wherever it was
-                        # built — inline or offloaded) so a restarted server
-                        # reboots warm.  Best-effort: never fails the request.
-                        self.plan_store.save_plan(key, plan)
-        finally:
-            with self._lock:
-                self._building.pop(key, None)
-        return plan
+
+        def build() -> Plan:
+            # Double-checked via peek (uncounted): a thread that missed just
+            # before another's build landed finds that plan here.
+            plan = self.cache.peek(key)
+            if plan is None:
+                plan = self._build_plan(workload, params, key)
+                self.cache.put(key, plan)
+                if self.plan_store is not None:
+                    # Persist the freshly optimized plan (wherever it was
+                    # built — inline or offloaded) so a restarted server
+                    # reboots warm.  Best-effort: never fails the request.
+                    self.plan_store.save_plan(key, plan)
+            return plan
+
+        return self.cache.get(key) or self._builds.do(key, build)
 
     def preplan_union(
         self,
@@ -363,7 +357,7 @@ class Planner:
         batch of the predicted mix (``Session.ask_batch`` unions its members
         the same way) skips strategy optimization entirely.
 
-        Goes through :meth:`plan`, so the per-fingerprint build gates,
+        Goes through :meth:`plan`, so the per-fingerprint single-flight,
         counters, and plan-store persistence all apply; a racing reactive
         request for the same union never duplicates the optimization.  No
         accountant is involved anywhere on this path — pre-planning spends

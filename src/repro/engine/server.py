@@ -6,8 +6,8 @@ architecture.md`` §6): it owns **one** shared :class:`~repro.engine.planner
 :class:`~repro.engine.cache.PlanCache`), hands out per-tenant budgeted
 :class:`~repro.engine.session.Session` objects, and answers requests from a
 thread pool.  Everything the sessions share — the accountants, the plan
-cache, the planner's build gates, the factor-``eigh`` memo, the Krylov
-recycler registry — is lock-protected at its own layer, so the server adds
+cache, the planner's single-flight builds, the factor-``eigh`` memo, the
+Krylov recycler registry — is lock-protected at its own layer, so the server adds
 no global serialization of its own: distinct tenants (and distinct workload
 shapes) plan, execute and account fully in parallel, while the *same* warm
 shape is optimized exactly once and then served from the cache by everyone.
@@ -38,10 +38,10 @@ Three pieces sit above the thread pools (``docs/architecture.md`` §7):
   answers are bit-for-bit what the thread tier would have produced;
 * **in-flight coalescing** — N concurrent *identical* requests (same
   tenant-visible query, same privacy slice, same release span) execute
-  once: the first becomes the leader, the rest attach to its future and
-  receive the same answer, and the tenant's budget is charged exactly once
-  per burst (the planner's per-fingerprint build gates, extended from
-  planning to answering);
+  once: the first becomes the leader, the rest wait for it and receive
+  the same answer, and the tenant's budget is charged exactly once per
+  burst (the same :class:`~repro.utils.memo.SingleFlight` the planner
+  uses per fingerprint, extended from planning to answering);
 * **admission** (:meth:`Server.serve`) — the line protocol's asyncio
   front-end: input already in memory is admitted whole, a live stream is
   bounded by ``queue_depth`` (requests beyond it are rejected immediately
@@ -58,10 +58,11 @@ import json
 import threading
 import time
 from collections import deque
-from concurrent.futures import Future, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
+from repro.core import error as error_analysis
 from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.domain.schema import Schema
@@ -77,7 +78,9 @@ from repro.engine.session import Session, SessionAnswer
 from repro.engine.store import StateStore
 from repro.exceptions import ReproError
 from repro.mechanisms.accountant import BudgetExceededError
+from repro.utils import operators
 from repro.utils.backend import resolve_backend
+from repro.utils.memo import SingleFlight
 from repro.relational.relation import Relation
 from repro.relational.vectorize import data_vector
 
@@ -339,12 +342,9 @@ class Server:
         self._closed = False
         self._stage_stats = _StageStats()
         # In-flight coalescing: one leader executes, followers share its
-        # future.  Keys are content-addressed request identities (see
-        # :meth:`_coalesce_key`); the map only ever holds in-flight bursts.
-        self._inflight: dict[tuple, Future] = {}
-        self._coalesce_lock = threading.Lock()
-        self._coalesce_leaders = 0
-        self._coalesce_followers = 0
+        # outcome.  Keys are content-addressed request identities (see
+        # :meth:`_coalesce_key`).
+        self._coalesce = SingleFlight()
         self._data = self._resolve_data(data) if data is not None else None
 
     # ------------------------------------------------------------- lifecycle
@@ -563,7 +563,7 @@ class Server:
         ``delta``, ``per_query``, ...).
 
         Identical concurrent requests **coalesce**: the first in flight
-        becomes the leader and executes; the rest attach to its future and
+        becomes the leader and executes; the rest wait for it and
         receive the *same* :class:`SessionAnswer` (same estimate, same
         noise draw), and the tenant's budget is charged exactly once for
         the burst.  Real traffic is full of such bursts (every viewer of
@@ -580,38 +580,12 @@ class Server:
         key = self._coalesce_key(tenant, request, options) if coalesce else None
         if key is None:
             answer = self.session(tenant).ask(request, **options)
-            with self._lock:
-                self._answers_served += 1
-            return answer
-        with self._coalesce_lock:
-            future = self._inflight.get(key)
-            leader = future is None
-            if leader:
-                future = Future()
-                self._inflight[key] = future
-                self._coalesce_leaders += 1
-            else:
-                self._coalesce_followers += 1
-        if not leader:
-            # The leader's outcome *is* this request's outcome — including a
-            # refusal (same tenant, same budget: the follower would have been
-            # refused identically).
-            answer = future.result()
-            with self._lock:
-                self._answers_served += 1
-            return answer
-        try:
-            answer = self.session(tenant).ask(request, **options)
-        except BaseException as error:
-            with self._coalesce_lock:
-                self._inflight.pop(key, None)
-            future.set_exception(error)
-            raise
-        # Unregister *before* resolving: a request arriving after the result
-        # exists must start a fresh burst (its release span differs anyway).
-        with self._coalesce_lock:
-            self._inflight.pop(key, None)
-        future.set_result(answer)
+        else:
+            # The leader's outcome *is* each follower's outcome — including
+            # a refusal (same tenant, same budget: refused identically).
+            answer = self._coalesce.do(
+                key, lambda: self.session(tenant).ask(request, **options)
+            )
         with self._lock:
             self._answers_served += 1
         return answer
@@ -915,15 +889,12 @@ class Server:
         counters (``hits`` / ``misses`` against the predicted mix,
         ``prewarm_planned`` / ``prewarm_already_warm``, ``union_preplans``,
         ``epochs_rolled``, ...); it is ``None`` when ``forecast=False``.
+
+        ``memos`` carries the process-wide memos' counters.
         """
         with self._lock:
             sessions = dict(self._sessions)
             answers_served = self._answers_served
-        with self._coalesce_lock:
-            coalesce = {
-                "leaders": self._coalesce_leaders,
-                "followers": self._coalesce_followers,
-            }
         cache = self.planner.cache
         return {
             "tenants": len(sessions),
@@ -938,11 +909,15 @@ class Server:
                 if self._process_executor is None
                 else self._process_executor.stats()
             ),
-            "coalesce": coalesce,
+            "coalesce": self._coalesce.stats,
             "stages": self._stage_stats.snapshot(),
             "plans_built": self.planner.plans_built,
             "plan_requests": self.planner.requests,
             "plan_cache": None if cache is None else cache.stats,
+            "memos": {
+                "factor_eigh": operators._FACTOR_EIGH_CACHE.stats,
+                "trace_recyclers": error_analysis._TRACE_RECYCLERS.stats,
+            },
             "store": (
                 None
                 if self._store is None

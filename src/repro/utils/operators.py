@@ -29,7 +29,7 @@ via :func:`within_materialization_budget`.
 from __future__ import annotations
 
 import hashlib
-import threading
+import sys
 from typing import Sequence
 
 import numpy as np
@@ -38,6 +38,7 @@ import scipy.linalg
 from repro.exceptions import MaterializationError, SingularStrategyError
 from repro.utils.backend import get_backend
 from repro.utils.linalg import kron_all, symmetrize
+from repro.utils.memo import BoundedMemo
 
 __all__ = [
     "HARD_MATERIALIZATION_LIMIT",
@@ -255,41 +256,26 @@ def kron_row_block(factors: Sequence[np.ndarray], indices: np.ndarray) -> np.nda
 #: Content-addressed memo of per-factor ``eigh`` results, so distinct
 #: workload/strategy objects built from identical factor Grams (benchmark
 #: sweeps, repeated ``eigen_design`` + error-evaluation rounds) share the
-#: spectral work.  FIFO-evicted against a *byte* budget — per-attribute
+#: spectral work.  LRU-evicted against a *byte* budget only — per-attribute
 #: factors are tiny, but a sweep over large single-factor Grams must not pin
 #: gigabytes of eigenvector matrices for the process lifetime.  Values are
-#: treated as read-only.  The dict and its eviction accounting are guarded
-#: by ``_FACTOR_EIGH_CACHE_LOCK`` (the memo is process-global shared state —
-#: concurrent server sessions would otherwise corrupt the eviction walk);
-#: the ``eigh`` itself runs outside the lock, so at worst a race costs one
-#: duplicated decomposition, never a corrupted cache.
-_FACTOR_EIGH_CACHE: dict = {}
+#: treated as read-only.  The ``eigh`` runs outside the memo's lock: at worst
+#: a race costs one duplicated decomposition, and the first writer's pair wins.
 _FACTOR_EIGH_CACHE_BYTE_BUDGET = 2**27  # 128 MiB
-_FACTOR_EIGH_CACHE_LOCK = threading.Lock()
+_FACTOR_EIGH_CACHE = BoundedMemo(
+    sys.maxsize,
+    max_bytes=_FACTOR_EIGH_CACHE_BYTE_BUDGET,
+    sizeof=lambda pair: pair[0].nbytes + pair[1].nbytes,
+)
 
 
 def _cached_factor_eigh(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gram = symmetrize(gram)
     digest = hashlib.sha1(np.ascontiguousarray(gram).tobytes()).hexdigest()
     key = (gram.shape[0], digest)
-    with _FACTOR_EIGH_CACHE_LOCK:
-        hit = _FACTOR_EIGH_CACHE.get(key)
-    if hit is None:
-        values, vectors = np.linalg.eigh(gram)
-        hit = (values, vectors)
-        entry_bytes = values.nbytes + vectors.nbytes
-        if entry_bytes <= _FACTOR_EIGH_CACHE_BYTE_BUDGET:
-            with _FACTOR_EIGH_CACHE_LOCK:
-                racing = _FACTOR_EIGH_CACHE.get(key)
-                if racing is not None:
-                    return racing
-                used = sum(v.nbytes + m.nbytes for v, m in _FACTOR_EIGH_CACHE.values())
-                while _FACTOR_EIGH_CACHE and used + entry_bytes > _FACTOR_EIGH_CACHE_BYTE_BUDGET:
-                    oldest = next(iter(_FACTOR_EIGH_CACHE))
-                    old_values, old_vectors = _FACTOR_EIGH_CACHE.pop(oldest)
-                    used -= old_values.nbytes + old_vectors.nbytes
-                _FACTOR_EIGH_CACHE[key] = hit
-    return hit
+    return _FACTOR_EIGH_CACHE.get(key) or _FACTOR_EIGH_CACHE.setdefault(
+        key, np.linalg.eigh(gram)
+    )
 
 
 def _pseudo_spectrum_inverse(values: np.ndarray) -> np.ndarray:

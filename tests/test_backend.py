@@ -33,6 +33,7 @@ from repro.utils.backend import (
     set_backend,
 )
 from repro.utils.linalg import hutchpp_trace, pcg_solve
+from repro.utils.memo import BoundedMemo
 from repro.utils.operators import (
     EigenDiagOperator,
     KroneckerOperator,
@@ -205,7 +206,7 @@ class TestRecyclerBackendIdentity:
 
     def test_backend_switch_never_reuses_krylov_state(self, monkeypatch, rng):
         monkeypatch.setattr(
-            error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)()
+            error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT)
         )
         workload_op, strategy_op = self.make_pair(rng)
         error_module._stochastic_completed_trace(workload_op, strategy_op)
@@ -218,7 +219,7 @@ class TestRecyclerBackendIdentity:
 
     def test_same_backend_still_recycles(self, monkeypatch, rng):
         monkeypatch.setattr(
-            error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)()
+            error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT)
         )
         workload_op, strategy_op = self.make_pair(rng)
         error_module._stochastic_completed_trace(workload_op, strategy_op)

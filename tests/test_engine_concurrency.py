@@ -10,8 +10,9 @@ one shared engine:
 * **plan-cache stats stay consistent** — ``hits + misses`` equals the
   number of lookups (no lost increments), entries never exceed the bound;
 * **one optimization per fingerprint** — concurrent misses on the same
-  workload shape serialize on the planner's build gate and share one
-  strategy optimization (asserted with a spy on ``eigen_design``);
+  workload shape share one single-flight strategy optimization (asserted
+  with a spy on ``eigen_design``), and a failing build fails once, for
+  every waiting caller;
 * **answers match the single-threaded oracle** — the same seeded requests
   produce bit-identical answers whether they ran on 8 threads or 1.
 """
@@ -25,6 +26,7 @@ import pytest
 from repro.core.privacy import PrivacyParams
 from repro.core.workload import Workload
 from repro.engine import BudgetExceededError, PlanCache, Planner, Server, Session
+from repro.exceptions import ReproError
 from repro.mechanisms.accountant import PrivacyAccountant
 from repro.relational.relation import Relation
 from repro.relational.vectorize import data_vector, infer_schema, sample_relation
@@ -178,6 +180,34 @@ class TestSingleOptimizationPerFingerprint:
         # Exactly one counted lookup per plan() call.
         cache = planner.cache
         assert cache.hits + cache.misses == THREADS
+
+    def test_concurrent_misses_share_one_failing_build(self, monkeypatch):
+        """A shape whose build raises is attempted once, not once per caller."""
+        planner = Planner()
+        attempts = []
+
+        def failing_build(workload, params, key):
+            attempts.append(key)
+            # Hold the build open until every other caller has joined it.
+            for _ in range(600):
+                if planner._builds.followers == THREADS - 1:
+                    break
+                threading.Event().wait(0.05)
+            raise ReproError("no strategy for this shape")
+
+        monkeypatch.setattr(planner, "_build_plan", failing_build)
+        outcomes = [None] * THREADS
+
+        def work(index):
+            try:
+                planner.plan(all_range_queries_1d(32), PRIVACY)
+            except ReproError as error:
+                outcomes[index] = error
+
+        _run_threads(THREADS, work)
+        assert len(attempts) == 1
+        assert all(isinstance(outcome, ReproError) for outcome in outcomes)
+        assert len(planner.cache) == 0
 
     def test_distinct_fingerprints_build_in_parallel(self):
         planner = Planner()

@@ -553,6 +553,7 @@ class TestServerStatsGoldenShape:
         assert_all_numeric(stats["coalesce"], "coalesce")
         assert_all_numeric(stats["stages"], "stages")
         assert_all_numeric(stats["plan_cache"], "plan_cache")
+        assert_all_numeric(stats["memos"], "memos")
         assert_all_numeric(stats["forecast"], "forecast")
         store_stats = dict(stats["store"])
         assert store_stats.pop("available") is True

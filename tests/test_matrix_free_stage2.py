@@ -33,6 +33,7 @@ from repro.core.error import (
 from repro.exceptions import SingularStrategyError
 from repro.optimize import WeightingProblem, solve_weighting
 from repro.utils.linalg import DeflationSpace, pcg_solve, trace_ratio
+from repro.utils.memo import BoundedMemo
 from repro.utils.operators import (
     EigenDiagOperator,
     GroupColumnOperator,
@@ -229,7 +230,7 @@ class TestKrylovRecycling:
         # Acceptance bar: re-evaluating the same completed strategy's error
         # trace (the budget-management loop) must use measurably fewer PCG
         # iterations than the first evaluation — here: none at all.
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         workload = all_range_queries([16, 16, 16])
         design = eigen_design(workload, factorized=True, complete=True)
         first = workload_strategy_trace(workload, design.strategy)
@@ -243,7 +244,7 @@ class TestKrylovRecycling:
         assert second == pytest.approx(first, rel=1e-6)
 
     def test_recycle_knob_disables_reuse(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         monkeypatch.setitem(error_module.STOCHASTIC_TRACE, "recycle", False)
         rng = np.random.default_rng(5)
         gram = rng.normal(size=(5, 5))
@@ -264,7 +265,7 @@ class TestKrylovRecycling:
         # Changing the estimator seed must NOT reuse the old seed's sketch:
         # replicates would be silently correlated.  The recycled seed-1
         # estimate must equal a cold seed-1 estimate exactly.
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         rng = np.random.default_rng(9)
         gram = rng.normal(size=(6, 6))
         workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
@@ -283,7 +284,7 @@ class TestKrylovRecycling:
         assert replicate == pytest.approx(cold, rel=1e-9)
 
     def test_clear_trace_recyclers_releases_state(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         rng = np.random.default_rng(10)
         gram = rng.normal(size=(4, 4))
         workload_op = KroneckerOperator([gram.T @ gram], symmetric=True)
@@ -299,7 +300,7 @@ class TestKrylovRecycling:
         assert not error_module._TRACE_RECYCLERS
 
     def test_recycler_registry_is_bounded(self, monkeypatch):
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         rng = np.random.default_rng(6)
         for _ in range(error_module._TRACE_RECYCLER_LIMIT + 3):
             gram = rng.normal(size=(4, 4))
@@ -402,7 +403,7 @@ class TestRankDeficientStochasticTrace:
         monkeypatch.setattr(ops.KroneckerOperator, "to_dense", forbidden)
         monkeypatch.setattr(ops.EigenDiagOperator, "to_dense", forbidden)
         monkeypatch.setattr(ops.KroneckerEigenbasis, "queries_dense", forbidden)
-        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", type(error_module._TRACE_RECYCLERS)())
+        monkeypatch.setattr(error_module, "_TRACE_RECYCLERS", BoundedMemo(error_module._TRACE_RECYCLER_LIMIT))
         rng = np.random.default_rng(8)
         factors = []
         for size in (16, 16, 16):

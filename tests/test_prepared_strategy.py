@@ -70,7 +70,7 @@ def test_support_verdicts_are_memoised_by_content_and_bounded(monkeypatch):
     for _ in range(3):  # equal content, fresh objects: one row-space check
         prepared.require_support(Workload(np.array([[1.0, 2.0, 0.0]])))
     assert len(calls) == 1
-    monkeypatch.setattr(PreparedStrategy, "SUPPORT_MEMO_ENTRIES", 4)
+    monkeypatch.setattr(prepared._supported, "max_entries", 4)
     for scale in range(10):
         prepared.require_support(Workload(np.array([[1.0, float(scale), 0.0]])))
     assert len(prepared._supported) == 4

@@ -19,17 +19,28 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import repro_lint  # noqa: E402
-from repro_lint import ALL_CHECKERS, RULE_IDS, lint, render_lock_table  # noqa: E402
+from repro_lint import (  # noqa: E402
+    ALL_CHECKERS,
+    RULE_IDS,
+    LockRule,
+    lint,
+    render_lock_table,
+    run_checkers,
+)
 from repro_lint.base import PRAGMA, load_project, module_name  # noqa: E402
+from repro_lint.lock_discipline import LockDisciplineChecker  # noqa: E402
 from repro_lint.manifest import checkable_rules  # noqa: E402
 
 
-def lint_tree(tmp_path, files, rules=None):
-    """Write ``{relative_path: source}`` under ``tmp_path`` and lint it."""
+def lint_tree(tmp_path, files, rules=None, checkers=None):
+    """Write ``{relative_path: source}`` under ``tmp_path`` and lint it
+    (with the full battery, or with explicit ``checkers``)."""
     for relative, source in files.items():
         path = tmp_path / relative
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(source))
+    if checkers is not None:
+        return run_checkers([str(tmp_path / "src")], checkers)
     return lint([str(tmp_path / "src")], rules=rules)
 
 
@@ -115,7 +126,7 @@ class TestPragmas:
 CACHE_BAD = """\
 import threading
 
-class PlanCache:
+class BoundedMemo:
     def __init__(self):
         self._lock = threading.Lock()
         self._entries = {}
@@ -134,7 +145,7 @@ class PlanCache:
 CACHE_GOOD = """\
 import threading
 
-class PlanCache:
+class BoundedMemo:
     def __init__(self):
         self._lock = threading.Lock()
         self._entries = {}
@@ -152,15 +163,26 @@ class PlanCache:
 
 class TestLockDiscipline:
     def test_unlocked_writes_are_flagged_with_lines(self, tmp_path):
-        findings = lint_tree(tmp_path, {"src/repro/engine/cache.py": CACHE_BAD})
+        findings = lint_tree(tmp_path, {"src/repro/utils/memo.py": CACHE_BAD})
         flagged = hits(findings, "lock-discipline")
         assert [finding.line for finding in flagged] == [10, 13, 16]
 
     def test_locked_writes_and_lockfree_reads_are_clean(self, tmp_path):
-        findings = lint_tree(tmp_path, {"src/repro/engine/cache.py": CACHE_GOOD})
+        findings = lint_tree(tmp_path, {"src/repro/utils/memo.py": CACHE_GOOD})
         assert findings == []
 
     def test_module_global_state_requires_the_module_lock(self, tmp_path):
+        # No manifest row guards a module global, so the checker's
+        # module-global path is exercised through an explicit rule.
+        rule = LockRule(
+            doc_state="factor-eigh memo",
+            doc_guard="module lock",
+            doc_granularity="process",
+            module="repro.utils.operators",
+            owner=None,
+            attributes=("_FACTOR_EIGH_CACHE",),
+            lock="_FACTOR_EIGH_CACHE_LOCK",
+        )
         findings = lint_tree(
             tmp_path,
             {
@@ -177,6 +199,7 @@ class TestLockDiscipline:
                         _FACTOR_EIGH_CACHE[key] = value
                 """
             },
+            checkers=[LockDisciplineChecker([rule])],
         )
         flagged = hits(findings, "lock-discipline")
         assert [finding.line for finding in flagged] == [6]

@@ -11,9 +11,9 @@ enforcement regime cannot drift apart.
 Entries with ``attributes`` are mechanically enforced by the
 ``lock-discipline`` checker: every write to a listed attribute in the
 owning module must sit lexically inside ``with <lock>:``.  Entries without
-``attributes`` are doc-only — their guard is structural (per-fingerprint
-build gates, a re-entrant lock spanning whole call sequences) and beyond a
-lexical check, but they still belong in the table.
+``attributes`` are doc-only — their guard is structural (a re-entrant lock
+spanning whole call sequences) and beyond a lexical check, but they still
+belong in the table.
 """
 
 from __future__ import annotations
@@ -53,18 +53,33 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         lock="self._lock",
     ),
     LockRule(
-        doc_state="`PlanCache` entries + LRU order + counters",
-        doc_guard="one mutex (`stats` reads are lock-free)",
-        doc_granularity="per cache",
-        module="repro.engine.cache",
-        owner="PlanCache",
-        attributes=("_entries", "hits", "misses", "evictions", "warmed"),
+        doc_state=(
+            "`BoundedMemo` entries + LRU order + counters: the `PlanCache`, the "
+            "worker plan memo, the factor-`eigh` memo, the Krylov recycler "
+            "registry, each `PreparedStrategy` support memo"
+        ),
+        doc_guard=(
+            "one mutex per memo (`stats` reads are lock-free); values are computed "
+            "outside it (`setdefault`: first writer wins); each recycler also has "
+            "its own lock for its mutable Krylov state"
+        ),
+        doc_granularity="per memo",
+        module="repro.utils.memo",
+        owner="BoundedMemo",
+        attributes=("_entries", "hits", "misses", "evictions", "bytes"),
         lock="self._lock",
     ),
     LockRule(
-        doc_state="cold plan builds",
-        doc_guard="the `Planner`'s per-fingerprint build gates",
-        doc_granularity="per workload shape",
+        doc_state="in-flight work: cold plan builds (`Planner`), coalesced requests (`Server`)",
+        doc_guard=(
+            "`SingleFlight`: one mutex over the key -> future map; the leader runs "
+            "outside it and followers share its result or exception"
+        ),
+        doc_granularity="per workload shape / per request identity",
+        module="repro.utils.memo",
+        owner="SingleFlight",
+        attributes=("_inflight", "leaders", "followers"),
+        lock="self._lock",
     ),
     LockRule(
         doc_state=(
@@ -77,36 +92,6 @@ LOCK_MANIFEST: tuple[LockRule, ...] = (
         owner="Strategy",
         attributes=("_prepared",),
         lock="_PREPARE_LOCK",
-    ),
-    LockRule(
-        doc_state="`PreparedStrategy` support memo (verdicts by workload fingerprint)",
-        doc_guard="per-prepared-state lock; the row-space check itself runs outside it",
-        doc_granularity="per strategy, shared by every session running its cached plan",
-        module="repro.core.prepared",
-        owner="PreparedStrategy",
-        attributes=("_supported",),
-        lock="self._lock",
-    ),
-    LockRule(
-        doc_state="factor-`eigh` memo (`repro.utils.operators`)",
-        doc_guard="module lock around lookup/insert/evict; the `eigh` itself runs outside it",
-        doc_granularity="process",
-        module="repro.utils.operators",
-        owner=None,
-        attributes=("_FACTOR_EIGH_CACHE",),
-        lock="_FACTOR_EIGH_CACHE_LOCK",
-    ),
-    LockRule(
-        doc_state="Krylov recycler registry (`repro.core.error`)",
-        doc_guard=(
-            "registry lock for the FIFO structure, plus one lock per recycler "
-            "for its mutable Krylov state"
-        ),
-        doc_granularity="process / per (workload, strategy) pair",
-        module="repro.core.error",
-        owner=None,
-        attributes=("_TRACE_RECYCLERS",),
-        lock="_TRACE_RECYCLER_REGISTRY_LOCK",
     ),
     LockRule(
         doc_state="`Session` releases, history, seed stream",
