@@ -102,6 +102,16 @@ def _noise_factor(params: PrivacyParams, regime: str) -> float:
     return 1.0 / params.epsilon
 
 
+def _design_note(design) -> str:
+    """Name the eigen design's weighting solver and its iteration counts."""
+    solution = design.solution
+    work = f"{solution.iterations} iterations"
+    if solution.diagnostics.get("escalated"):
+        first_order = solution.diagnostics["first_order_iterations"]
+        work = f"{first_order} first-order + {solution.iterations} Newton iterations"
+    return f"Program 2 ({design.method}; {solution.solver}, {work})"
+
+
 @dataclass
 class PlanCandidate:
     """One mechanism the planner considered, with its reference-priced error."""
@@ -268,9 +278,7 @@ class Planner:
         candidates: list[tuple[Mechanism, str]] = []
         try:
             design = eigen_design(workload, **self.design_options)
-            candidates.append(
-                (StrategyMechanism(design.strategy), f"Program 2 ({design.method})")
-            )
+            candidates.append((StrategyMechanism(design.strategy), _design_note(design)))
         except (OptimizationError, MaterializationError, SingularStrategyError) as error:
             candidates.append((None, f"eigen-design failed: {error}"))
         if self.include_baselines:

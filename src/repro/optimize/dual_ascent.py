@@ -17,13 +17,16 @@ from repro.exceptions import OptimizationError
 from repro.optimize.result import WeightingSolution
 from repro.optimize.weighting_problem import WeightingProblem, _DENOMINATOR_FLOOR
 
-__all__ = ["solve_dual_ascent", "solve_dual_ascent_batch"]
+__all__ = ["DEFAULT_TOLERANCE", "solve_dual_ascent", "solve_dual_ascent_batch"]
+
+#: Target relative duality gap of the first-order solvers.
+DEFAULT_TOLERANCE = 1e-6
 
 
 def solve_dual_ascent(
     problem: WeightingProblem,
     *,
-    tolerance: float = 1e-6,
+    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = 20_000,
     initial_step: float = 1.0,
 ) -> WeightingSolution:
@@ -123,14 +126,14 @@ def solve_dual_ascent(
         iterations=iterations,
         converged=converged,
         solver="dual-ascent",
-        diagnostics={"backtracks": backtracks, "final_step": step},
+        diagnostics={"backtracks": backtracks, "final_step": step, "dual": dual},
     )
 
 
 def solve_dual_ascent_batch(
     problems: Sequence[WeightingProblem],
     *,
-    tolerance: float = 1e-6,
+    tolerance: float = DEFAULT_TOLERANCE,
     max_iterations: int = 20_000,
     initial_step: float = 1.0,
 ) -> list[WeightingSolution]:
@@ -277,6 +280,7 @@ def solve_dual_ascent_batch(
     out_primal = np.zeros(count)
     out_dual_value = np.zeros(count)
     out_step = np.zeros(count)
+    out_dual = np.zeros((count, k))
     iterations = np.zeros(count, dtype=int)
     converged = np.zeros(count, dtype=bool)
     backtracks = np.zeros(count, dtype=int)
@@ -287,6 +291,7 @@ def solve_dual_ascent_batch(
         out_primal[indices] = backend.to_numpy(best_primal[exiting])
         out_dual_value[indices] = backend.to_numpy(best_dual_value[exiting])
         out_step[indices] = backend.to_numpy(step[exiting])
+        out_dual[indices] = backend.to_numpy(dual[exiting])
 
     for iteration in range(1, max_iterations + 1):
         if alive.size == 0:
@@ -381,6 +386,7 @@ def solve_dual_ascent_batch(
                 "backtracks": int(backtracks[index]),
                 "final_step": float(out_step[index]),
                 "batched": count,
+                "dual": out_dual[index],
             },
         )
         for index in range(count)

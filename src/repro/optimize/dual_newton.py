@@ -30,6 +30,7 @@ def solve_dual_newton(
     tolerance: float = 1e-9,
     max_iterations: int = 300,
     ridge: float = 1e-10,
+    initial_dual: np.ndarray | None = None,
 ) -> WeightingSolution:
     """Solve ``problem`` by an active-set projected Newton ascent on its dual.
 
@@ -42,6 +43,10 @@ def solve_dual_newton(
     ridge:
         Relative Tikhonov regularisation added to the reduced Hessian before
         factorisation, for numerical robustness.
+    initial_dual:
+        Starting dual point (e.g. the last dual of a first-order run, from
+        its ``diagnostics["dual"]``); defaults to the problem's uniform
+        :meth:`~repro.optimize.weighting_problem.WeightingProblem.initial_dual`.
     """
     if problem.structured:
         from repro.exceptions import OptimizationError
@@ -50,9 +55,13 @@ def solve_dual_newton(
             "dual-newton factorises a dense Hessian and cannot run on structured "
             "constraint operators; use 'dual-ascent' instead"
         )
-    dual = problem.initial_dual()
+    if initial_dual is None:
+        dual = problem.initial_dual()
+    else:
+        dual = np.maximum(np.asarray(initial_dual, dtype=float), 0.0)
     value = problem.dual_value(dual)
-    step_memory = max(float(dual[0]), 1e-12)
+    # The default start is uniform; a warm start's first entry may be 0.
+    step_memory = max(float(dual.max()), 1e-12)
 
     best_weights = problem.scale_to_feasible(problem.initial_weights())
     best_primal = problem.objective(best_weights)
@@ -134,5 +143,5 @@ def solve_dual_newton(
         iterations=iterations,
         converged=converged,
         solver="dual-newton",
-        diagnostics={"fallback_steps": fallback_steps},
+        diagnostics={"fallback_steps": fallback_steps, "dual": dual},
     )

@@ -7,8 +7,9 @@ against the closed forms it must realise:
 * **calibration** — over seeded runs, the empirical mean squared error of
   the workload answers matches ``expected_workload_error`` (Gaussian) or
   ``expected_workload_error_l1`` (Laplace) squared, within a chi-square
-  bound, for a full-rank eigen design, a rank-deficient strategy and the
-  identity;
+  bound, for a full-rank eigen design, a rank-deficient strategy, the
+  workload as its own strategy and the identity — every strategy the
+  planner ranks;
 * **bit-identical noise** — the noisy strategy answers are exactly what the
   Gaussian mechanism draws on the strategy matrix under the same seed;
 * **inference accuracy** — the rank-deficient estimate is ``lstsq``'s;
@@ -60,6 +61,7 @@ def _cases():
         "eigen-design": (ranges, eigen_design(ranges).strategy),
         "rank-deficient": (low_rank, eigen_design(low_rank, complete=False).strategy),
         "identity": (ranges, Strategy.identity(CELLS)),
+        "workload-as-strategy": (ranges, Strategy(ranges.matrix)),
     }
 
 

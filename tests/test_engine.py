@@ -1,5 +1,7 @@
 """Tests for the query-answering engine: mechanisms, planner, cache, session."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -23,7 +25,7 @@ from repro.exceptions import PrivacyError, ReproError, WorkloadError
 from repro.mechanisms.laplace_matrix import expected_workload_error_l1
 from repro.relational.sql import workload_from_sql
 from repro.relational.vectorize import sample_relation
-from repro.workloads import all_range_queries_1d
+from repro.workloads import all_range_queries_1d, kway_range_marginals
 
 PRIVACY = PrivacyParams(epsilon=0.5, delta=1e-4)
 PURE = PrivacyParams(epsilon=0.5, delta=0.0)
@@ -107,6 +109,22 @@ class TestPlanner:
         assert plan.expected_error(PRIVACY) <= expected_workload_error(
             workload, Strategy.identity(16), PRIVACY
         ) * (1 + 1e-9)
+
+    def test_eigen_design_candidate_names_its_weighting_solver(self):
+        def design_note(workload):
+            plan = Planner(cache=None).plan(workload, PRIVACY)
+            return next(c.note for c in plan.candidates if "eigen-design" in c.mechanism)
+
+        # Full rank: plain dual ascent.  Rank-deficient (37 eigen-queries
+        # over 64 cells): a short ascent, then warm-started Newton.
+        assert re.fullmatch(
+            r"Program 2 \(eigen-design; dual-ascent, \d+ iterations\)",
+            design_note(all_range_queries_1d(16)),
+        )
+        assert re.fullmatch(
+            r"Program 2 \(eigen-design; dual-newton, \d+ first-order \+ \d+ Newton iterations\)",
+            design_note(kway_range_marginals([4, 4, 4], 2)),
+        )
 
     def test_plan_error_rescales_across_privacy_levels(self):
         workload = all_range_queries_1d(8)

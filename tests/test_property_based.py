@@ -14,7 +14,8 @@ from repro import (
     minimum_error_bound,
     singular_value_bound,
 )
-from repro.optimize import WeightingProblem, solve_dual_ascent, solve_dual_newton
+from repro.engine import Planner
+from repro.optimize import WeightingProblem, solve_dual_ascent, solve_dual_newton, solve_weighting
 from repro.strategies import identity_strategy
 from repro.utils.linalg import haar_matrix, hierarchical_matrix
 
@@ -112,6 +113,46 @@ class TestSolverInvariants:
             assert problem.max_violation(solution.weights) <= 1e-7
             assert solution.dual_value <= solution.objective_value + 1e-6
         assert newton.objective_value == pytest.approx(ascent.objective_value, rel=5e-3)
+
+    @given(
+        st.integers(2, 8),
+        st.integers(2, 8),
+        st.integers(0, 10_000),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_auto_is_no_worse_than_full_ascent(self, variables, constraints, seed):
+        rng = np.random.default_rng(seed)
+        costs = rng.uniform(0.1, 5.0, size=variables)
+        matrix = rng.uniform(0.0, 1.0, size=(constraints, variables))
+        matrix[0] += 0.1
+        problem = WeightingProblem(costs=costs, constraints=matrix)
+        auto = solve_weighting(problem, warn_on_no_convergence=False)
+        ascent = solve_dual_ascent(problem)
+        assert problem.max_violation(auto.weights) <= 1e-7
+        if ascent.converged:
+            # auto certifies at least the first-order tolerance (1e-6): its
+            # objective is within that of its own dual bound, which no
+            # feasible point (the ascent's included) can beat.
+            assert auto.converged
+            assert auto.objective_value * (1 - 1e-6) <= ascent.objective_value
+
+
+zero_one_workloads = hnp.arrays(
+    dtype=float,
+    shape=st.tuples(st.integers(1, 6), st.integers(2, 6)),
+    elements=st.sampled_from([0.0, 1.0]),
+).filter(lambda m: m.any())
+
+
+class TestPlannerInvariants:
+    @given(zero_one_workloads, st.sampled_from([PRIVACY, PrivacyParams(0.5, 0.0)]))
+    @settings(max_examples=30, deadline=None)
+    def test_chosen_plan_is_never_worse_than_a_ranked_candidate(self, matrix, privacy):
+        plan = Planner(cache=None).plan(Workload(matrix), privacy)
+        finite = [c.expected_error for c in plan.candidates if np.isfinite(c.expected_error)]
+        assert finite
+        assert all(plan.reference_error <= error for error in finite)
+        assert sum(c.chosen for c in plan.candidates) == 1
 
 
 class TestStructuredMatrixInvariants:
